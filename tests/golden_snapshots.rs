@@ -25,10 +25,14 @@
 //! glibc results. If a libm update ever shifts a digit, the failure
 //! message names the first drifted line — regenerate and review.
 
+use qccd::engine::{run_spec, Engine, ExperimentSpec};
 use qccd::experiments::{fig6, fig7, fig8, table1, table2, QUICK_CAPACITIES};
+use qccd::sweep::policy_grid;
 use qccd_circuit::generators;
+use qccd_compiler::compile;
 use qccd_device::{presets, Device, DeviceBuilder, Side};
 use qccd_physics::PhysicalModel;
+use qccd_sim::simulate;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -122,6 +126,97 @@ fn fig8_quick_matches_golden() {
     );
 }
 
+/// Runs the committed `examples/experiments/<name>.json` spec through
+/// the engine and pins the artifact exactly as
+/// `run --spec <file> --json` writes it.
+fn pin_spec(name: &str) {
+    let rel = format!("examples/experiments/{name}.json");
+    let text = std::fs::read_to_string(repo_path(&rel)).expect("spec file exists");
+    let spec = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let run = run_spec(&spec, &Engine::new()).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    check_golden(
+        &format!("tests/goldens/{name}.json"),
+        &serde_json::to_string_pretty(&run.artifact).expect("artifacts serialize"),
+    );
+}
+
+#[test]
+fn fig6_matches_golden() {
+    pin_spec("fig6");
+}
+
+#[test]
+fn fig7_matches_golden() {
+    pin_spec("fig7");
+}
+
+#[test]
+fn fig8_matches_golden() {
+    pin_spec("fig8");
+}
+
+#[test]
+fn ablation_buffer_matches_golden() {
+    pin_spec("ablation_buffer");
+}
+
+#[test]
+fn ablation_device_size_matches_golden() {
+    pin_spec("ablation_device_size");
+}
+
+#[test]
+fn ablation_heating_matches_golden() {
+    pin_spec("ablation_heating");
+}
+
+#[test]
+fn ablation_junction_matches_golden() {
+    pin_spec("ablation_junction");
+}
+
+#[test]
+fn ablation_policy_matches_golden() {
+    pin_spec("ablation_policy");
+}
+
+/// Every (preset device × generator circuit × 16-policy combination)
+/// cell compiled and simulated, each report pinned in canonical JSON
+/// next to its cell label.
+#[test]
+fn policy_matrix_matches_golden() {
+    let devices = [presets::l6(8), presets::g2x3(8)];
+    let circuits = [
+        generators::qaoa(18, 1, 3),
+        generators::bv(&[true; 15]),
+        generators::qft(14),
+        generators::random_circuit(20, 120, 0.5, 17),
+    ];
+    let model = PhysicalModel::default();
+    let mut cells = Vec::new();
+    for device in &devices {
+        for circuit in &circuits {
+            for config in policy_grid(2) {
+                let cell = format!(
+                    "{} × {} × {}",
+                    device.name(),
+                    circuit.name(),
+                    config.policy_label()
+                );
+                let exe = compile(circuit, device, &config)
+                    .unwrap_or_else(|e| panic!("{cell}: compile failed: {e}"));
+                let report = simulate(&exe, device, &model)
+                    .unwrap_or_else(|e| panic!("{cell}: simulate failed: {e}"));
+                cells.push(serde_json::json!({ "cell": cell, "report": report }));
+            }
+        }
+    }
+    check_golden(
+        "tests/goldens/policy_matrix.json",
+        &serde_json::to_string_pretty(&cells).expect("reports serialize"),
+    );
+}
+
 /// The checked-in example device file is the serialization of the
 /// paper's L6 device at capacity 20; loading it must reproduce the
 /// preset exactly, and the toolflow must behave identically on both.
@@ -189,7 +284,6 @@ fn example_t3_device_file_loads_and_runs() {
 /// the exact preset.
 #[test]
 fn example_experiment_specs_match_the_presets() {
-    use qccd::engine::ExperimentSpec;
     use qccd::experiments::PAPER_CAPACITIES;
     let base = qccd_compiler::CompilerConfig::default();
     for (rel, spec) in [
