@@ -40,7 +40,6 @@ use qccd::engine::{
     SpecRun, StageCache, STAGE_SUBDIR,
 };
 use qccd::experiments::{PAPER_CAPACITIES, QUICK_CAPACITIES};
-use qccd::sim::SimKernel;
 use qccd_compiler::{
     CompilerConfig, EvictionKind, MappingKind, Pipeline, ReorderMethod, RoutingKind,
 };
@@ -96,9 +95,6 @@ pub struct HarnessArgs {
     pub reorder: Option<ReorderMethod>,
     /// Eviction-policy override (pipeline seam 4).
     pub eviction: Option<EvictionKind>,
-    /// Simulation-kernel override (`--kernel legacy|des`). Both kernels
-    /// produce identical reports; the flag selects execution strategy.
-    pub kernel: Option<SimKernel>,
 }
 
 /// The declarative allowed-flags table: which binary consumes which
@@ -148,7 +144,6 @@ pub const BIN_FLAGS: &[(&str, &[&str])] = &[
             "--cache-max-entries",
             "--cache-max-stages",
             "--cache-max-stage-age",
-            "--kernel",
         ],
     ),
 ];
@@ -241,10 +236,6 @@ impl HarnessArgs {
                     let name = args.next().ok_or("--eviction needs a policy name")?;
                     out.eviction = Some(name.parse().map_err(|e| format!("{e}"))?);
                 }
-                "--kernel" => {
-                    let name = args.next().ok_or("--kernel needs `legacy` or `des`")?;
-                    out.kernel = Some(name.parse().map_err(|e| format!("--kernel: {e}"))?);
-                }
                 "--help" | "-h" => return Err(String::new()),
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -274,7 +265,6 @@ impl HarnessArgs {
             ("--routing", self.routing.is_some()),
             ("--reorder", self.reorder.is_some()),
             ("--eviction", self.eviction.is_some()),
-            ("--kernel", self.kernel.is_some()),
         ] {
             if given {
                 out.push(flag);
@@ -330,7 +320,6 @@ impl HarnessArgs {
             batch_size: 0,
             verbose: true,
             shard: self.shard,
-            kernel: self.kernel.unwrap_or_default(),
             ..EngineOptions::default()
         })
     }
@@ -419,10 +408,6 @@ impl HarnessArgs {
                 path: path.display().to_string(),
             }];
         }
-        // `--kernel` wins over the spec's own `kernel` field.
-        if let Some(kernel) = self.kernel {
-            spec.kernel = Some(kernel);
-        }
     }
 }
 
@@ -448,8 +433,7 @@ fn usage(message: &str) -> ! {
          [--mapping round-robin|usage-weighted] \
          [--routing greedy-shortest|lookahead-congestion] \
          [--reorder gs|is] \
-         [--eviction furthest-next-use|chain-end] \
-         [--kernel legacy|des]"
+         [--eviction furthest-next-use|chain-end]"
     );
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }
@@ -741,7 +725,6 @@ pub fn run_main() {
             },
             None => ModelSpec::Default,
         }],
-        kernel: args.kernel,
     };
     let run = run_spec_or_die(&spec, &engine);
 
@@ -938,35 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_parses_and_is_run_only() {
-        let args = parse(&["--kernel", "des"]).unwrap();
-        assert_eq!(args.kernel, Some(SimKernel::Des));
-        assert_eq!(args.given_flags(), vec!["--kernel"]);
-        let args = parse(&["--kernel", "legacy"]).unwrap();
-        assert_eq!(args.kernel, Some(SimKernel::Legacy));
-        let err = parse(&["--kernel", "turbo"]).unwrap_err();
-        assert!(err.contains("--kernel"), "{err}");
-        assert!(err.contains("turbo"), "{err}");
-        assert!(parse(&["--kernel"]).unwrap_err().contains("--kernel needs"));
-
-        // CLI wins over the spec's own kernel field.
-        let args = parse(&["--kernel", "des"]).unwrap();
-        let mut spec = ExperimentSpec::fig6(&QUICK_CAPACITIES);
-        spec.kernel = Some(SimKernel::Legacy);
-        args.apply_to_spec(&mut spec);
-        assert_eq!(spec.kernel, Some(SimKernel::Des));
-
-        // Only `run` accepts the flag.
-        for (bin, flags) in BIN_FLAGS {
-            assert_eq!(
-                flags.contains(&"--kernel"),
-                *bin == "run",
-                "`{bin}` --kernel support is wrong"
-            );
-        }
-    }
-
-    #[test]
     fn unknown_policy_names_report_the_accepted_set() {
         let err = parse(&["--routing", "warp"]).unwrap_err();
         assert!(err.contains("warp"), "{err}");
@@ -981,6 +935,11 @@ mod tests {
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("--frobnicate"));
+        // `--kernel` is not a flag: the simulator has a single kernel.
+        assert_eq!(
+            parse(&["--kernel", "des"]).unwrap_err(),
+            "unknown flag `--kernel`"
+        );
     }
 
     #[test]

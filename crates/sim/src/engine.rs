@@ -26,36 +26,7 @@ pub fn simulate(
     device: &Device,
     model: &PhysicalModel,
 ) -> Result<SimReport, SimError> {
-    validate(exe, device)?;
-    let placement = Placement::from_chains(exe.initial_chains().to_vec());
-    let mut engine = Engine {
-        device,
-        model,
-        st: MachineState::new(&placement),
-        ion_ready: vec![0.0; exe.num_ions() as usize],
-        trap_ready: vec![0.0; device.trap_count()],
-        seg_ready: vec![0.0; device.segment_count()],
-        junc_ready: vec![0.0; device.junction_count()],
-        trap_energy: vec![0.0; device.trap_count()],
-        trap_peak: vec![0.0; device.trap_count()],
-        flight_energy: vec![0.0; exe.num_ions() as usize],
-        log_fidelity: 0.0,
-        errors: ErrorTotals::default(),
-        ms_executions: 0,
-        ms_background_sum: 0.0,
-        ms_motional_sum: 0.0,
-        gate_spans: SpanSet::new(),
-        comm_spans: SpanSet::new(),
-        gate_busy: 0.0,
-        shuttle_busy: 0.0,
-        shuttle_wait: 0.0,
-        makespan: 0.0,
-    };
-
-    for inst in exe.instructions() {
-        engine.step(inst)?;
-    }
-
+    let engine = execute(exe, device, model)?;
     let compute_us = engine.gate_spans.union_length();
     let communication_us = engine.comm_spans.union_length_excluding(&engine.gate_spans);
     Ok(SimReport {
@@ -80,10 +51,49 @@ pub fn simulate(
     })
 }
 
-/// Structural validation of the executable against the device. Shared by
-/// both kernels (legacy and [`crate::des`]) so they reject identical
-/// streams with identical errors.
-pub(crate) fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
+/// Validates `exe` against `device` and list-schedules every
+/// instruction, returning the final engine state.
+fn execute<'a>(
+    exe: &Executable,
+    device: &'a Device,
+    model: &'a PhysicalModel,
+) -> Result<Engine<'a>, SimError> {
+    validate(exe, device)?;
+    let placement = Placement::from_chains(exe.initial_chains().to_vec());
+    let mut engine = Engine {
+        device,
+        model,
+        st: MachineState::new(&placement),
+        ion_ready: vec![0.0; exe.num_ions() as usize],
+        trap_ready: vec![0.0; device.trap_count()],
+        seg_ready: vec![0.0; device.segment_count()],
+        junc_ready: vec![0.0; device.junction_count()],
+        trap_energy: vec![0.0; device.trap_count()],
+        trap_peak: vec![0.0; device.trap_count()],
+        flight_energy: vec![0.0; exe.num_ions() as usize],
+        log_fidelity: 0.0,
+        errors: ErrorTotals::default(),
+        ms_executions: 0,
+        ms_background_sum: 0.0,
+        ms_motional_sum: 0.0,
+        gate_spans: SpanSet::new(),
+        comm_spans: SpanSet::new(),
+        gate_busy: 0.0,
+        shuttle_busy: 0.0,
+        shuttle_wait: 0.0,
+        makespan: 0.0,
+        #[cfg(test)]
+        move_log: Vec::new(),
+    };
+
+    for (index, inst) in exe.instructions().iter().enumerate() {
+        engine.step(index, inst)?;
+    }
+    Ok(engine)
+}
+
+/// Structural validation of the executable against the device.
+fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
     if exe.initial_chains().len() != device.trap_count() {
         return Err(SimError::UnknownTrap(TrapId(
             exe.initial_chains().len() as u32 - 1,
@@ -151,13 +161,15 @@ struct Engine<'a> {
     shuttle_busy: f64,
     shuttle_wait: f64,
     makespan: f64,
+    /// `(instruction index, start, end)` of every executed
+    /// [`Inst::Move`], for the no-double-booking property test.
+    #[cfg(test)]
+    move_log: Vec<(usize, f64, f64)>,
 }
 
 /// Folds one operation's error probability into the running
-/// log-fidelity. Shared by both kernels so the accumulation arithmetic
-/// (clamp, `-inf` on certain failure, `ln_1p` form) cannot drift
-/// between them.
-pub(crate) fn charge(log_fidelity: &mut f64, err: f64) {
+/// log-fidelity: clamped, `-inf` on certain failure, `ln_1p` form.
+fn charge(log_fidelity: &mut f64, err: f64) {
     let err = err.clamp(0.0, 1.0);
     if err >= 1.0 {
         *log_fidelity = f64::NEG_INFINITY;
@@ -209,7 +221,9 @@ impl Engine<'_> {
         (tau, breakdown.total())
     }
 
-    fn step(&mut self, inst: &Inst) -> Result<(), SimError> {
+    /// Schedules `inst`, the `index`-th instruction of the stream.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn step(&mut self, index: usize, inst: &Inst) -> Result<(), SimError> {
         match inst {
             Inst::OneQubit { ion, .. } => {
                 let trap = self.located_trap(*ion)?;
@@ -353,6 +367,8 @@ impl Engine<'_> {
                 self.shuttle_wait += (resource_ready - ready).max(0.0);
                 let end = start + tau;
                 self.set_path_ready(leg, end);
+                #[cfg(test)]
+                self.move_log.push((index, start, end));
                 self.flight_energy[ion.index()] += self
                     .model
                     .heating
@@ -437,8 +453,11 @@ impl Ln1pWorkaround for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qccd_circuit::{generators, Circuit, Qubit};
-    use qccd_compiler::{compile, CompilerConfig, ReorderMethod};
+    use qccd_compiler::{
+        compile, CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind,
+    };
     use qccd_device::presets;
     use qccd_device::Side;
     use qccd_physics::GateImpl;
@@ -674,8 +693,7 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Negative paths: every SimError variant has a pinned raising
-    // condition, and both kernels reject the stream with the identical
-    // error.
+    // condition.
     // ------------------------------------------------------------------
 
     /// A hand-built (usually malformed) executable on `num_ions` ions.
@@ -691,15 +709,13 @@ mod tests {
         chains
     }
 
-    /// Both kernels must reject `exe` with exactly `want`.
-    fn assert_both_kernels_reject(exe: &Executable, want: SimError) {
+    /// The simulator must reject `exe` on the L6 device with exactly
+    /// `want`.
+    fn assert_rejects(exe: &Executable, want: SimError) {
         let d = presets::l6(10);
-        let m = PhysicalModel::default();
-        assert_eq!(simulate(exe, &d, &m).unwrap_err(), want, "legacy kernel");
         assert_eq!(
-            crate::simulate_des(exe, &d, &m).unwrap_err(),
-            want,
-            "des kernel"
+            simulate(exe, &d, &PhysicalModel::default()).unwrap_err(),
+            want
         );
     }
 
@@ -707,7 +723,7 @@ mod tests {
     fn unknown_trap_when_chain_table_mismatches_device() {
         // 4 chains against the 6-trap L6 device.
         let exe = exe_on(1, vec![vec![IonId(0)], vec![], vec![], vec![]], vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownTrap(TrapId(3)));
+        assert_rejects(&exe, SimError::UnknownTrap(TrapId(3)));
     }
 
     #[test]
@@ -721,7 +737,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::UnknownTrap(TrapId(99)));
+        assert_rejects(&exe, SimError::UnknownTrap(TrapId(99)));
     }
 
     #[test]
@@ -729,7 +745,7 @@ mod tests {
         let mut chains = chains_in_trap0(2);
         chains[1] = vec![IonId(7)]; // only ions 0..2 exist
         let exe = exe_on(2, chains, vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(7)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(7)));
     }
 
     #[test]
@@ -737,13 +753,13 @@ mod tests {
         let mut chains = chains_in_trap0(2);
         chains[1] = vec![IonId(1)]; // ion 1 already placed in trap 0
         let exe = exe_on(2, chains, vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(1)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(1)));
     }
 
     #[test]
     fn unknown_ion_when_instruction_names_a_missing_ion() {
         let exe = exe_on(1, chains_in_trap0(1), vec![Inst::Measure { ion: IonId(3) }]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(3)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(3)));
     }
 
     #[test]
@@ -764,7 +780,7 @@ mod tests {
                 },
             ],
         );
-        assert_both_kernels_reject(&exe, SimError::IonInFlight(IonId(1)));
+        assert_rejects(&exe, SimError::IonInFlight(IonId(1)));
     }
 
     #[test]
@@ -779,7 +795,7 @@ mod tests {
                 b: IonId(1),
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::NotColocated(IonId(0), IonId(1)));
+        assert_rejects(&exe, SimError::NotColocated(IonId(0), IonId(1)));
     }
 
     #[test]
@@ -793,7 +809,7 @@ mod tests {
                 b: IonId(2),
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::NotAdjacent(IonId(0), IonId(2)));
+        assert_rejects(&exe, SimError::NotAdjacent(IonId(0), IonId(2)));
     }
 
     #[test]
@@ -807,7 +823,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::SplitNotAtEnd(IonId(1), TrapId(0)));
+        assert_rejects(&exe, SimError::SplitNotAtEnd(IonId(1), TrapId(0)));
     }
 
     #[test]
@@ -822,7 +838,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::SplitNotAtEnd(IonId(0), TrapId(1)));
+        assert_rejects(&exe, SimError::SplitNotAtEnd(IonId(0), TrapId(1)));
     }
 
     #[test]
@@ -836,7 +852,7 @@ mod tests {
                 side: Side::Left,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::IonNotInFlight(IonId(0)));
+        assert_rejects(&exe, SimError::IonNotInFlight(IonId(0)));
     }
 
     #[test]
@@ -848,6 +864,100 @@ mod tests {
             chains_in_trap0(1),
             vec![Inst::Move { ion: IonId(0), leg }],
         );
-        assert_both_kernels_reject(&exe, SimError::IonNotInFlight(IonId(0)));
+        assert_rejects(&exe, SimError::IonNotInFlight(IonId(0)));
+    }
+
+    // ------------------------------------------------------------------
+    // Resource exclusivity: no segment or junction is ever held by two
+    // overlapping shuttle legs.
+    // ------------------------------------------------------------------
+
+    /// Simulates `exe` and asserts that the logged occupancy intervals of
+    /// the legs crossing each segment and each junction never overlap.
+    fn assert_no_double_booking(exe: &Executable, device: &Device) {
+        let model = PhysicalModel::default();
+        let engine = execute(exe, device, &model).expect("simulates");
+        let moves = exe
+            .instructions()
+            .iter()
+            .filter(|inst| matches!(inst, Inst::Move { .. }))
+            .count();
+        assert_eq!(engine.move_log.len(), moves, "every leg is logged once");
+
+        let mut segments = vec![Vec::new(); device.segment_count()];
+        let mut junctions = vec![Vec::new(); device.junction_count()];
+        for &(i, start, end) in &engine.move_log {
+            let Inst::Move { leg, .. } = &exe.instructions()[i] else {
+                panic!("instruction {i} is logged as a move but is not one");
+            };
+            assert!(start <= end, "leg {i} has a negative duration");
+            for s in &leg.segments {
+                segments[s.index()].push((start, end));
+            }
+            for j in &leg.junctions {
+                junctions[j.index()].push((start, end));
+            }
+        }
+        for (kind, per_resource) in [("segment", segments), ("junction", junctions)] {
+            for (idx, mut spans) in per_resource.into_iter().enumerate() {
+                spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                for w in spans.windows(2) {
+                    assert!(
+                        w[0].1 <= w[1].0 + 1e-12,
+                        "{kind} {idx} double-booked: [{}, {}) overlaps [{}, {})",
+                        w[0].0,
+                        w[0].1,
+                        w[1].0,
+                        w[1].1
+                    );
+                }
+            }
+        }
+    }
+
+    /// The `combo`-th entry (0..16) of the compiler's policy grid, in
+    /// mapping × routing × reorder × eviction order.
+    fn policy_combo(combo: usize) -> CompilerConfig {
+        CompilerConfig {
+            mapping: MappingKind::ALL[combo >> 3 & 1],
+            routing: RoutingKind::ALL[combo >> 2 & 1],
+            reorder: ReorderMethod::ALL[combo >> 1 & 1],
+            eviction: EvictionKind::ALL[combo & 1],
+            buffer_slots: 2,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random circuits on the linear topology, under every policy
+        /// combination.
+        #[test]
+        fn random_linear_circuits_never_double_book(
+            n in 2u32..24,
+            ops in 1usize..150,
+            frac in 0.0f64..0.8,
+            seed in 0u64..1000,
+            combo in 0usize..16,
+        ) {
+            let circuit = generators::random_circuit(n, ops, frac, seed);
+            let device = presets::l6(8);
+            let exe = compile(&circuit, &device, &policy_combo(combo)).expect("compiles");
+            assert_no_double_booking(&exe, &device);
+        }
+
+        /// The same property on the grid topology, whose
+        /// junction-crossing legs exercise the junction resources.
+        #[test]
+        fn random_grid_circuits_never_double_book(
+            n in 2u32..24,
+            ops in 1usize..120,
+            seed in 0u64..1000,
+        ) {
+            let circuit = generators::random_circuit(n, ops, 0.5, seed);
+            let device = presets::g2x3(8);
+            let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+            assert_no_double_booking(&exe, &device);
+        }
     }
 }

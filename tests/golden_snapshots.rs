@@ -1,12 +1,14 @@
 //! Golden snapshots of the paper artifacts' `--json` dumps.
 //!
-//! The studies behind Tables I–II and Figs. 6–8 are regenerated on
-//! every run; these tests pin their JSON serializations to committed
-//! files so a silent drift in the heating/fidelity/timing models (or in
-//! the compiler) breaks the build instead of the paper claims. Figures
-//! are pinned at the `--quick` capacity set (the same three design
-//! points the CI smoke run uses); the full sweeps go through identical
-//! code paths.
+//! The studies behind Tables I–II, Figs. 6–8 and the five ablations are
+//! regenerated on every run; these tests pin their JSON serializations
+//! to committed files so a silent drift in the heating/fidelity/timing
+//! models (or in the compiler) breaks the build instead of the paper
+//! claims. Figures are pinned both at the `--quick` capacity set (the
+//! same three design points the CI smoke run uses) and at full size,
+//! where each golden is the `run --spec examples/experiments/<name>.json
+//! --json` output. A policy-matrix golden additionally pins the full
+//! simulation report of every (device × circuit × compiler policy) cell.
 //!
 //! To regenerate after an *intentional* model change:
 //!
