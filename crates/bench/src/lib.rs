@@ -935,11 +935,21 @@ mod tests {
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("--frobnicate"));
+    }
+
+    #[test]
+    fn removed_kernel_flag_is_rejected_by_every_binary() {
         // `--kernel` is not a flag: the simulator has a single kernel.
         assert_eq!(
             parse(&["--kernel", "des"]).unwrap_err(),
             "unknown flag `--kernel`"
         );
+        for (bin, flags) in BIN_FLAGS {
+            assert!(
+                !flags.contains(&"--kernel"),
+                "`{bin}` must not accept --kernel"
+            );
+        }
     }
 
     #[test]
