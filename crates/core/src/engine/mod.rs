@@ -61,6 +61,8 @@ use crate::experiments::{ablations, fig6, fig7, fig8, table1, table2, Table};
 use crate::sweep::parallel_map;
 use crate::toolflow::{Toolflow, ToolflowError};
 use qccd_compiler::{CompileMemo, CompileMemoRef, Executable, Pipeline, StagePersist};
+use qccd_device::Device;
+use qccd_physics::PhysicalModel;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -389,7 +391,7 @@ impl Engine {
         for (bi, batch) in pending.chunks(batch_size).enumerate() {
             // Group jobs that share (circuit, device, config): the
             // executable is model-independent, so each group compiles
-            // once and simulates once per member.
+            // and lowers once, then evaluates once per member.
             let order = group_by_compile_key(
                 batch,
                 |ji| (jobs[ji].circuit, jobs[ji].device, jobs[ji].config),
@@ -433,20 +435,15 @@ impl Engine {
                                 .map_err(|e| e.to_string())
                         }
                     };
-                    match compiled {
-                        Err(e) => members.iter().map(|&ji| (ji, Err(e.clone()))).collect(),
-                        Ok(exe) => members
-                            .iter()
-                            .map(|&ji| {
-                                let toolflow = Toolflow::with_config(
-                                    device.clone(),
-                                    grid.models()[jobs[ji].model],
-                                    config,
-                                );
-                                (ji, toolflow.simulate(&exe).map_err(|e| e.to_string()))
-                            })
-                            .collect(),
-                    }
+                    let outcomes = match compiled {
+                        Err(e) => vec![Err(e); members.len()],
+                        Ok(exe) => simulate_group(
+                            &exe,
+                            device,
+                            members.iter().map(|&ji| &grid.models()[jobs[ji].model]),
+                        ),
+                    };
+                    members.iter().copied().zip(outcomes).collect()
                 });
             for pairs in batch_results {
                 for (ji, outcome) in pairs {
@@ -657,6 +654,23 @@ pub fn merge_spec(spec: &ExperimentSpec, engine: &Engine) -> Result<SpecRun, Spe
     })
 }
 
+/// Simulates one compile group's executable under each member's model:
+/// lowers it once and evaluates the tape per model. A lowering error
+/// is every member's outcome, with the text [`Toolflow::simulate`]
+/// reports for it.
+fn simulate_group<'m>(
+    exe: &Executable,
+    device: &Device,
+    models: impl ExactSizeIterator<Item = &'m PhysicalModel>,
+) -> Vec<JobOutcome> {
+    match qccd_sim::lower(exe, device) {
+        Err(e) => vec![Err(ToolflowError::from(e).to_string()); models.len()],
+        Ok(tape) => models
+            .map(|model| Ok(qccd_sim::evaluate(&tape, model)))
+            .collect(),
+    }
+}
+
 /// Groups a batch's job indices by shared `(circuit, device, config)`
 /// compile key: the executable is model-independent, so each group
 /// compiles once. Returns `(first member, all members)` per group in
@@ -817,7 +831,7 @@ mod tests {
     use qccd_circuit::generators;
     use qccd_compiler::CompilerConfig;
     use qccd_device::presets;
-    use qccd_physics::{GateImpl, PhysicalModel};
+    use qccd_physics::GateImpl;
 
     fn tiny_grid() -> JobGrid {
         JobGrid::from_axes(
@@ -829,6 +843,28 @@ mod tests {
                 PhysicalModel::with_gate(GateImpl::Am1),
             ],
         )
+    }
+
+    #[test]
+    fn failed_lowering_gives_every_member_the_toolflow_error() {
+        // Compiled for a 6-trap device, simulated on a 2-trap one.
+        let compiled_on = presets::l6(10);
+        let device = presets::linear(2, 10, 4);
+        let config = CompilerConfig::default();
+        let exe = Toolflow::with_config(compiled_on, PhysicalModel::default(), config)
+            .compile(&generators::qaoa(8, 1, 2))
+            .expect("compiles");
+        let models = GateImpl::ALL.map(PhysicalModel::with_gate);
+        let outcomes = simulate_group(&exe, &device, models.iter());
+        assert_eq!(outcomes.len(), models.len());
+        for (model, outcome) in models.iter().zip(&outcomes) {
+            let want = Toolflow::with_config(device.clone(), *model, config)
+                .simulate(&exe)
+                .unwrap_err()
+                .to_string();
+            assert!(want.starts_with("simulate: "), "{want}");
+            assert_eq!(outcome, &Err(want));
+        }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -744,7 +744,13 @@ impl ExperimentSpec {
     pub fn from_file(path: impl AsRef<Path>) -> Result<ExperimentSpec, SpecError> {
         let path = path.as_ref();
         let text = read_file(&path.display().to_string())?;
-        Self::from_json(&text).map_err(|e| SpecError::Parse(format!("{}: {e}", path.display())))
+        // Prefix the message with the path, keeping the variant (and
+        // so its "parse error"/"invalid" label) exactly once.
+        Self::from_json(&text).map_err(|e| match e {
+            SpecError::Parse(m) => SpecError::Parse(format!("{}: {m}", path.display())),
+            SpecError::Invalid(m) => SpecError::Invalid(format!("{}: {m}", path.display())),
+            other => other,
+        })
     }
 
     /// Resolves every axis and enumerates the deduplicated job grid.
@@ -1351,6 +1357,40 @@ mod tests {
         };
         assert!(matches!(missing.resolve(), Err(SpecError::Io { .. })));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn from_file_errors_name_the_path_and_label_once() {
+        let dir = std::env::temp_dir();
+        for (tag, text) in [
+            ("malformed", r#"{"name": "m", "projection": "#),
+            (
+                "invalid",
+                r#"{"name": "k", "projection": "cells", "kernel": "des"}"#,
+            ),
+        ] {
+            let path = dir.join(format!("qccd-spec-{tag}-{}.json", std::process::id()));
+            std::fs::write(&path, text).unwrap();
+            let err = ExperimentSpec::from_file(&path).unwrap_err();
+            let _ = std::fs::remove_file(&path);
+            assert!(matches!(err, SpecError::Parse(_)), "{tag}: {err:?}");
+            let message = err.to_string();
+            let shown = path.display().to_string();
+            assert_eq!(
+                message.matches("experiment spec parse error").count(),
+                1,
+                "{tag}: {message}"
+            );
+            assert_eq!(
+                message.matches(shown.as_str()).count(),
+                1,
+                "{tag}: {message}"
+            );
+            assert!(
+                message.starts_with(&format!("experiment spec parse error: {shown}: ")),
+                "{tag}: {message}"
+            );
+        }
     }
 
     fn generators_qaoa_as_qasm() -> String {

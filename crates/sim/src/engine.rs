@@ -1,14 +1,16 @@
-//! The resource-timeline simulation engine.
+//! The resource-timeline simulation engine: [`evaluate`] runs one
+//! physical model over a lowered [`SimTape`].
 
 use crate::error::SimError;
 use crate::report::{ErrorTotals, SimReport, TimeBreakdown};
 use crate::spans::SpanSet;
-use qccd_compiler::{Executable, Inst, MachineState, Placement};
-use qccd_device::{Device, IonId, JunctionKind, Leg, TrapId};
+use crate::tape::{lower, OpKind, SimTape};
+use qccd_compiler::Executable;
+use qccd_device::Device;
 use qccd_physics::PhysicalModel;
 
 /// Simulates `exe` on `device` under `model`, producing timing, fidelity
-/// and device-level metrics.
+/// and device-level metrics: [`lower`] followed by [`evaluate`].
 ///
 /// # Errors
 ///
@@ -26,51 +28,106 @@ pub fn simulate(
     device: &Device,
     model: &PhysicalModel,
 ) -> Result<SimReport, SimError> {
-    let engine = execute(exe, device, model)?;
-    let compute_us = engine.gate_spans.union_length();
-    let communication_us = engine.comm_spans.union_length_excluding(&engine.gate_spans);
-    Ok(SimReport {
-        name: exe.name().to_owned(),
-        total_time_us: engine.makespan,
-        log_fidelity: engine.log_fidelity,
-        counts: exe.counts(),
-        peak_motional_energy: engine.trap_peak.iter().copied().fold(0.0, f64::max),
-        trap_peak_energy: engine.trap_peak,
-        trap_final_energy: engine.trap_energy,
-        ms_executions: engine.ms_executions,
-        ms_background_error_sum: engine.ms_background_sum,
-        ms_motional_error_sum: engine.ms_motional_sum,
-        errors: engine.errors,
+    Ok(evaluate(&lower(exe, device)?, model))
+}
+
+/// Runs `model` over a lowered executable. Cannot fail: every check
+/// happened in [`lower`].
+pub fn evaluate(tape: &SimTape, model: &PhysicalModel) -> SimReport {
+    let run = schedule(tape, model);
+    let (compute_us, communication_us) = SpanSet::decompose(run.gate_spans, run.comm_spans);
+    SimReport {
+        name: tape.name.clone(),
+        total_time_us: run.makespan,
+        log_fidelity: run.log_fidelity,
+        counts: tape.counts,
+        peak_motional_energy: run.trap_peak.iter().copied().fold(0.0, f64::max),
+        trap_peak_energy: run.trap_peak,
+        trap_final_energy: run.trap_energy,
+        ms_executions: run.ms_executions,
+        ms_background_error_sum: run.ms_background_sum,
+        ms_motional_error_sum: run.ms_motional_sum,
+        errors: run.errors,
         time: TimeBreakdown {
             compute_us,
             communication_us,
-            gate_busy_us: engine.gate_busy,
-            shuttle_busy_us: engine.shuttle_busy,
-            shuttle_wait_us: engine.shuttle_wait,
+            gate_busy_us: run.gate_busy,
+            shuttle_busy_us: run.shuttle_busy,
+            shuttle_wait_us: run.shuttle_wait,
         },
-    })
+    }
 }
 
-/// Validates `exe` against `device` and list-schedules every
-/// instruction, returning the final engine state.
-fn execute<'a>(
-    exe: &Executable,
-    device: &'a Device,
-    model: &'a PhysicalModel,
-) -> Result<Engine<'a>, SimError> {
-    validate(exe, device)?;
-    let placement = Placement::from_chains(exe.initial_chains().to_vec());
-    let mut engine = Engine {
-        device,
-        model,
-        st: MachineState::new(&placement),
-        ion_ready: vec![0.0; exe.num_ions() as usize],
-        trap_ready: vec![0.0; device.trap_count()],
-        seg_ready: vec![0.0; device.segment_count()],
-        junc_ready: vec![0.0; device.junction_count()],
-        trap_energy: vec![0.0; device.trap_count()],
-        trap_peak: vec![0.0; device.trap_count()],
-        flight_energy: vec![0.0; exe.num_ions() as usize],
+/// The gate and shuttle intervals that [`evaluate`] decomposes into
+/// compute and communication time (see [`SpanSet::decompose`]).
+pub fn spans_of(tape: &SimTape, model: &PhysicalModel) -> (SpanSet, SpanSet) {
+    let run = schedule(tape, model);
+    (run.gate_spans, run.comm_spans)
+}
+
+/// The accumulated state after list-scheduling a whole tape.
+struct Schedule {
+    trap_energy: Vec<f64>,
+    trap_peak: Vec<f64>,
+    log_fidelity: f64,
+    errors: ErrorTotals,
+    ms_executions: usize,
+    ms_background_sum: f64,
+    ms_motional_sum: f64,
+    gate_spans: SpanSet,
+    comm_spans: SpanSet,
+    gate_busy: f64,
+    shuttle_busy: f64,
+    shuttle_wait: f64,
+    makespan: f64,
+    /// `(instruction index, start, end)` of every executed move, for
+    /// the no-double-booking property test.
+    #[cfg(test)]
+    move_log: Vec<(usize, f64, f64)>,
+}
+
+/// What folding one operation's error into the log-fidelity does:
+/// clamped, `-inf` on certain failure, `ln_1p` form otherwise. A charge
+/// depends only on the error, so one computed per model (or per SWAP)
+/// is applied as often as the error recurs.
+#[derive(Clone, Copy)]
+enum Charge {
+    Add(f64),
+    Fail,
+}
+
+impl Charge {
+    fn of(err: f64) -> Charge {
+        let err = err.clamp(0.0, 1.0);
+        if err >= 1.0 {
+            Charge::Fail
+        } else {
+            Charge::Add((1.0 - err).ln_1p_workaround())
+        }
+    }
+
+    fn apply(self, log_fidelity: &mut f64) {
+        match self {
+            Charge::Add(term) => *log_fidelity += term,
+            Charge::Fail => *log_fidelity = f64::NEG_INFINITY,
+        }
+    }
+}
+
+/// List-schedules every op of `tape` under `model`: each op starts as
+/// soon as its ion(s), trap and path resources are free.
+fn schedule(tape: &SimTape, model: &PhysicalModel) -> Schedule {
+    let heating = &model.heating;
+    let fidelity = &model.fidelity;
+    let one_qubit = Charge::of(fidelity.one_qubit_error);
+    let measure = Charge::of(fidelity.measure_error);
+    let mut ion_ready = vec![0.0f64; tape.num_ions];
+    let mut trap_ready = vec![0.0f64; tape.num_traps];
+    let mut path_ready = vec![0.0f64; tape.num_resources];
+    let mut flight_energy = vec![0.0f64; tape.num_ions];
+    let mut run = Schedule {
+        trap_energy: vec![0.0; tape.num_traps],
+        trap_peak: vec![0.0; tape.num_traps],
         log_fidelity: 0.0,
         errors: ErrorTotals::default(),
         ms_executions: 0,
@@ -85,355 +142,170 @@ fn execute<'a>(
         #[cfg(test)]
         move_log: Vec::new(),
     };
-
-    for (index, inst) in exe.instructions().iter().enumerate() {
-        engine.step(index, inst)?;
-    }
-    Ok(engine)
-}
-
-/// Structural validation of the executable against the device.
-fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
-    if exe.initial_chains().len() != device.trap_count() {
-        return Err(SimError::UnknownTrap(TrapId(
-            exe.initial_chains().len() as u32 - 1,
-        )));
-    }
-    let n = exe.num_ions();
-    let mut seen = vec![false; n as usize];
-    for chain in exe.initial_chains() {
-        for &ion in chain {
-            if ion.0 >= n || seen[ion.index()] {
-                return Err(SimError::UnknownIon(ion));
-            }
-            seen[ion.index()] = true;
+    // Sets a trap's energy after an op left `len` ions in it, tracking
+    // the per-mode peak n̄ = E/N.
+    let bump = |run: &mut Schedule, trap: usize, energy: f64, len: u32| {
+        run.trap_energy[trap] = energy;
+        let nbar = energy / f64::from(len.max(1));
+        if nbar > run.trap_peak[trap] {
+            run.trap_peak[trap] = nbar;
         }
-    }
-    for inst in exe.instructions() {
-        for ion in inst.ions() {
-            if ion.0 >= n {
-                return Err(SimError::UnknownIon(ion));
-            }
-        }
-        match inst {
-            Inst::Split { trap, .. } | Inst::Merge { trap, .. }
-                if trap.index() >= device.trap_count() =>
-            {
-                return Err(SimError::UnknownTrap(*trap));
-            }
-            Inst::Move { leg, .. } => {
-                for s in &leg.segments {
-                    if s.index() >= device.segment_count() {
-                        return Err(SimError::UnknownTrap(leg.to));
-                    }
-                }
-                for j in &leg.junctions {
-                    if j.index() >= device.junction_count() {
-                        return Err(SimError::UnknownTrap(leg.to));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-struct Engine<'a> {
-    device: &'a Device,
-    model: &'a PhysicalModel,
-    st: MachineState,
-    ion_ready: Vec<f64>,
-    trap_ready: Vec<f64>,
-    seg_ready: Vec<f64>,
-    junc_ready: Vec<f64>,
-    trap_energy: Vec<f64>,
-    trap_peak: Vec<f64>,
-    flight_energy: Vec<f64>,
-    log_fidelity: f64,
-    errors: ErrorTotals,
-    ms_executions: usize,
-    ms_background_sum: f64,
-    ms_motional_sum: f64,
-    gate_spans: SpanSet,
-    comm_spans: SpanSet,
-    gate_busy: f64,
-    shuttle_busy: f64,
-    shuttle_wait: f64,
-    makespan: f64,
-    /// `(instruction index, start, end)` of every executed
-    /// [`Inst::Move`], for the no-double-booking property test.
-    #[cfg(test)]
-    move_log: Vec<(usize, f64, f64)>,
-}
-
-/// Folds one operation's error probability into the running
-/// log-fidelity: clamped, `-inf` on certain failure, `ln_1p` form.
-fn charge(log_fidelity: &mut f64, err: f64) {
-    let err = err.clamp(0.0, 1.0);
-    if err >= 1.0 {
-        *log_fidelity = f64::NEG_INFINITY;
-    } else {
-        *log_fidelity += (1.0 - err).ln_1p_workaround();
-    }
-}
-
-impl Engine<'_> {
-    fn charge_error(&mut self, err: f64) {
-        charge(&mut self.log_fidelity, err);
-    }
-
-    fn bump_trap_energy(&mut self, trap: TrapId, energy: f64) {
-        self.trap_energy[trap.index()] = energy;
-        let nbar = energy / self.st.chain_len(trap).max(1) as f64;
-        if nbar > self.trap_peak[trap.index()] {
-            self.trap_peak[trap.index()] = nbar;
-        }
-    }
-
-    fn located_trap(&self, ion: IonId) -> Result<TrapId, SimError> {
-        self.st.trap_of(ion).ok_or(SimError::IonInFlight(ion))
-    }
-
-    /// Per-mode motional occupation n̄ of the chain in `trap`: the
-    /// accumulated energy spread over the chain's motional modes (one per
-    /// ion), n̄ = E/N. This is the n̄ entering eq. (1) and the Fig. 6f
-    /// metric.
-    fn nbar(&self, trap: TrapId) -> f64 {
-        let n = self.st.chain_len(trap).max(1) as f64;
-        self.trap_energy[trap.index()] / n
-    }
-
-    /// Executes one MS interaction (shared by program gates and reorder
-    /// swaps); returns its duration and total error.
-    fn ms_interaction(&mut self, a: IonId, b: IonId, trap: TrapId) -> (f64, f64) {
-        let distance = self.st.distance(a, b).max(1);
-        let chain_len = self.st.chain_len(trap) as u32;
-        let tau = self.model.two_qubit_time(distance, chain_len);
-        let breakdown = self
-            .model
-            .fidelity
-            .two_qubit_error(tau, chain_len, self.nbar(trap));
-        self.ms_executions += 1;
-        self.ms_background_sum += breakdown.background;
-        self.ms_motional_sum += breakdown.motional;
-        self.charge_error(breakdown.total());
-        (tau, breakdown.total())
-    }
-
-    /// Schedules `inst`, the `index`-th instruction of the stream.
-    #[cfg_attr(not(test), allow(unused_variables))]
-    fn step(&mut self, index: usize, inst: &Inst) -> Result<(), SimError> {
-        match inst {
-            Inst::OneQubit { ion, .. } => {
-                let trap = self.located_trap(*ion)?;
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.one_qubit_time;
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.charge_error(self.model.fidelity.one_qubit_error);
-                self.errors.one_qubit += self.model.fidelity.one_qubit_error;
-                self.gate_spans.add(start, end);
-                self.gate_busy += end - start;
-                self.makespan = self.makespan.max(end);
-            }
-            Inst::Ms { a, b } => {
-                let trap = self.located_trap(*a)?;
-                if self.st.trap_of(*b) != Some(trap) {
-                    return Err(SimError::NotColocated(*a, *b));
-                }
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
-                let (tau, err) = self.ms_interaction(*a, *b, trap);
-                self.errors.two_qubit += err;
+    };
+    let mut moves = 0usize;
+    for i in 0..tape.kind.len() {
+        let a = tape.ion_a[i] as usize;
+        let b = tape.ion_b[i] as usize;
+        let trap = tape.trap[i] as usize;
+        let len = tape.chain_len[i];
+        match tape.kind[i] {
+            OpKind::OneQubit | OpKind::Measure => {
+                let (tau, err, charge, class) = if tape.kind[i] == OpKind::OneQubit {
+                    let class = &mut run.errors.one_qubit;
+                    (
+                        model.one_qubit_time,
+                        fidelity.one_qubit_error,
+                        one_qubit,
+                        class,
+                    )
+                } else {
+                    let class = &mut run.errors.measure;
+                    (model.measure_time, fidelity.measure_error, measure, class)
+                };
+                let start = ion_ready[a].max(trap_ready[trap]);
                 let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.gate_spans.add(start, end);
-                self.gate_busy += end - start;
-                self.makespan = self.makespan.max(end);
+                ion_ready[a] = end;
+                trap_ready[trap] = end;
+                charge.apply(&mut run.log_fidelity);
+                *class += err;
+                run.gate_spans.add(start, end);
+                run.gate_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
-            Inst::SwapGate { a, b } => {
-                let trap = self.located_trap(*a)?;
-                if self.st.trap_of(*b) != Some(trap) {
-                    return Err(SimError::NotColocated(*a, *b));
-                }
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
-                // 3 MS gates plus the 4 single-qubit corrections (§IV-C).
-                let mut tau = 0.0;
-                let mut swap_err = 0.0;
-                for _ in 0..3 {
-                    let (t, e) = self.ms_interaction(*a, *b, trap);
-                    tau += t;
-                    swap_err += e;
-                }
-                for _ in 0..qccd_compiler::lowering::WRAPPERS_PER_CX {
-                    tau += self.model.one_qubit_time;
-                    self.charge_error(self.model.fidelity.one_qubit_error);
-                    swap_err += self.model.fidelity.one_qubit_error;
-                }
-                self.errors.swap += swap_err;
+            OpKind::Ms | OpKind::SwapGate => {
+                let start = ion_ready[a].max(ion_ready[b]).max(trap_ready[trap]);
+                // One MS interaction; a SWAP repeats it 3 times (the
+                // trap's energy does not change in between) and adds
+                // the 4 single-qubit corrections (§IV-C).
+                let tau_ms = model.two_qubit_time(tape.distance[i], len);
+                let nbar = run.trap_energy[trap] / f64::from(len.max(1));
+                let breakdown = fidelity.two_qubit_error(tau_ms, len, nbar);
+                let err_ms = breakdown.total();
+                let charge_ms = Charge::of(err_ms);
+                let interact = |run: &mut Schedule| {
+                    run.ms_executions += 1;
+                    run.ms_background_sum += breakdown.background;
+                    run.ms_motional_sum += breakdown.motional;
+                    charge_ms.apply(&mut run.log_fidelity);
+                };
+                let tau = if tape.kind[i] == OpKind::Ms {
+                    interact(&mut run);
+                    run.errors.two_qubit += err_ms;
+                    tau_ms
+                } else {
+                    let (mut tau, mut err) = (0.0, 0.0);
+                    for _ in 0..3 {
+                        interact(&mut run);
+                        tau += tau_ms;
+                        err += err_ms;
+                    }
+                    for _ in 0..qccd_compiler::lowering::WRAPPERS_PER_CX {
+                        tau += model.one_qubit_time;
+                        one_qubit.apply(&mut run.log_fidelity);
+                        err += fidelity.one_qubit_error;
+                    }
+                    run.errors.swap += err;
+                    tau
+                };
                 let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.st.swap_states(*a, *b);
-                self.gate_spans.add(start, end);
-                self.gate_busy += end - start;
-                self.makespan = self.makespan.max(end);
+                ion_ready[a] = end;
+                ion_ready[b] = end;
+                trap_ready[trap] = end;
+                run.gate_spans.add(start, end);
+                run.gate_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
-            Inst::IonSwap { a, b } => {
-                let trap = self.located_trap(*a)?;
-                if self.st.trap_of(*b) != Some(trap) {
-                    return Err(SimError::NotColocated(*a, *b));
-                }
-                if self.st.distance(*a, *b) != 1 {
-                    return Err(SimError::NotAdjacent(*a, *b));
-                }
-                let n = self.st.chain_len(trap) as u32;
-                let heating = &self.model.heating;
-                let (tau, new_energy) = if n > 2 {
+            OpKind::IonSwap => {
+                let (tau, energy) = if len > 2 {
                     // Split the pair off, rotate it, merge it back.
-                    let (pair, rest) = heating.split(self.trap_energy[trap.index()], 2, n - 2);
+                    let (pair, rest) = heating.split(run.trap_energy[trap], 2, len - 2);
                     let pair = pair + heating.k1; // rotation agitation
                     (
-                        self.model.shuttle.ion_swap_time(),
-                        heating.merge(pair, rest, n),
+                        model.shuttle.ion_swap_time(),
+                        heating.merge(pair, rest, len),
                     )
                 } else {
                     (
-                        self.model.shuttle.ion_rotation,
-                        self.trap_energy[trap.index()] + heating.k1,
+                        model.shuttle.ion_rotation,
+                        run.trap_energy[trap] + heating.k1,
                     )
                 };
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
+                let start = ion_ready[a].max(ion_ready[b]).max(trap_ready[trap]);
                 let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.bump_trap_energy(trap, new_energy);
-                self.st.swap_positions(*a, *b);
-                self.comm_spans.add(start, end);
-                self.shuttle_busy += end - start;
-                self.makespan = self.makespan.max(end);
+                ion_ready[a] = end;
+                ion_ready[b] = end;
+                trap_ready[trap] = end;
+                bump(&mut run, trap, energy, len);
+                run.comm_spans.add(start, end);
+                run.shuttle_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
-            Inst::Split { ion, trap, side } => {
-                if self.st.trap_of(*ion) != Some(*trap) {
-                    return Err(SimError::SplitNotAtEnd(*ion, *trap));
-                }
-                if self.st.end_ion(*trap, *side) != Some(*ion) {
-                    return Err(SimError::SplitNotAtEnd(*ion, *trap));
-                }
-                let n = self.st.chain_len(*trap) as u32;
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.shuttle.split;
-                let heating = &self.model.heating;
-                let (e_ion, e_rest) = if n > 1 {
-                    heating.split(self.trap_energy[trap.index()], 1, n - 1)
+            OpKind::Split => {
+                let start = ion_ready[a].max(trap_ready[trap]);
+                let end = start + model.shuttle.split;
+                let (e_ion, e_rest) = if len > 1 {
+                    heating.split(run.trap_energy[trap], 1, len - 1)
                 } else {
                     // Splitting the last ion empties the trap.
-                    (self.trap_energy[trap.index()] + heating.k1, 0.0)
+                    (run.trap_energy[trap] + heating.k1, 0.0)
                 };
-                self.flight_energy[ion.index()] = e_ion;
-                self.st.remove_end(*ion, *trap, *side);
-                self.bump_trap_energy(*trap, e_rest);
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.comm_spans.add(start, end);
-                self.shuttle_busy += end - start;
-                self.makespan = self.makespan.max(end);
+                flight_energy[a] = e_ion;
+                bump(&mut run, trap, e_rest, len - 1);
+                ion_ready[a] = end;
+                trap_ready[trap] = end;
+                run.comm_spans.add(start, end);
+                run.shuttle_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
-            Inst::Move { ion, leg } => {
-                if self.st.trap_of(*ion).is_some() {
-                    return Err(SimError::IonNotInFlight(*ion));
-                }
-                let (mut y, mut x) = (0u32, 0u32);
-                for j in &leg.junctions {
-                    match self.device.junction(*j).kind() {
-                        JunctionKind::Y => y += 1,
-                        JunctionKind::X => x += 1,
-                    }
-                }
-                let tau = self.model.shuttle.move_time(leg.length_units, y, x);
-                let resource_ready = self.path_ready(leg);
-                let ready = self.ion_ready[ion.index()];
+            OpKind::Move => {
+                let units = tape.move_units[moves];
+                let (y, x) = (tape.move_y[moves], tape.move_x[moves]);
+                let path = &tape.path
+                    [tape.path_start[moves] as usize..tape.path_start[moves + 1] as usize];
+                moves += 1;
+                let tau = model.shuttle.move_time(units, y, x);
+                let resource_ready = path
+                    .iter()
+                    .fold(0.0f64, |t, &r| t.max(path_ready[r as usize]));
+                let ready = ion_ready[a];
                 let start = ready.max(resource_ready);
-                self.shuttle_wait += (resource_ready - ready).max(0.0);
+                run.shuttle_wait += (resource_ready - ready).max(0.0);
                 let end = start + tau;
-                self.set_path_ready(leg, end);
-                #[cfg(test)]
-                self.move_log.push((index, start, end));
-                self.flight_energy[ion.index()] += self
-                    .model
-                    .heating
-                    .move_energy(leg.length_units, leg.junctions.len() as u32);
-                self.ion_ready[ion.index()] = end;
-                self.comm_spans.add(start, end);
-                self.shuttle_busy += end - start;
-                self.makespan = self.makespan.max(end);
-            }
-            Inst::Merge { ion, trap, side } => {
-                if self.st.trap_of(*ion).is_some() {
-                    return Err(SimError::IonNotInFlight(*ion));
+                for &r in path {
+                    path_ready[r as usize] = end;
                 }
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.shuttle.merge;
-                let n_result = self.st.chain_len(*trap) as u32 + 1;
-                let merged = self.model.heating.merge(
-                    self.trap_energy[trap.index()],
-                    self.flight_energy[ion.index()],
-                    n_result,
-                );
-                self.flight_energy[ion.index()] = 0.0;
-                self.st.insert_end(*ion, *trap, *side);
-                self.bump_trap_energy(*trap, merged);
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.comm_spans.add(start, end);
-                self.shuttle_busy += end - start;
-                self.makespan = self.makespan.max(end);
+                #[cfg(test)]
+                run.move_log.push((i, start, end));
+                flight_energy[a] += heating.move_energy(units, y + x);
+                ion_ready[a] = end;
+                run.comm_spans.add(start, end);
+                run.shuttle_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
-            Inst::Measure { ion } => {
-                let trap = self.located_trap(*ion)?;
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.measure_time;
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.charge_error(self.model.fidelity.measure_error);
-                self.errors.measure += self.model.fidelity.measure_error;
-                self.gate_spans.add(start, end);
-                self.gate_busy += end - start;
-                self.makespan = self.makespan.max(end);
+            OpKind::Merge => {
+                let start = ion_ready[a].max(trap_ready[trap]);
+                let end = start + model.shuttle.merge;
+                let merged = heating.merge(run.trap_energy[trap], flight_energy[a], len + 1);
+                flight_energy[a] = 0.0;
+                bump(&mut run, trap, merged, len + 1);
+                ion_ready[a] = end;
+                trap_ready[trap] = end;
+                run.comm_spans.add(start, end);
+                run.shuttle_busy += end - start;
+                run.makespan = run.makespan.max(end);
             }
         }
-        Ok(())
     }
-
-    fn path_ready(&self, leg: &Leg) -> f64 {
-        let mut t: f64 = 0.0;
-        for s in &leg.segments {
-            t = t.max(self.seg_ready[s.index()]);
-        }
-        for j in &leg.junctions {
-            t = t.max(self.junc_ready[j.index()]);
-        }
-        t
-    }
-
-    fn set_path_ready(&mut self, leg: &Leg, end: f64) {
-        for s in &leg.segments {
-            self.seg_ready[s.index()] = end;
-        }
-        for j in &leg.junctions {
-            self.junc_ready[j.index()] = end;
-        }
-    }
+    run
 }
 
 /// `ln(1 - e)` helper with the accuracy-preserving form for tiny errors.
@@ -455,11 +327,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use qccd_circuit::{generators, Circuit, Qubit};
+    use qccd_compiler::Inst;
     use qccd_compiler::{
         compile, CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind,
     };
-    use qccd_device::presets;
-    use qccd_device::Side;
+    use qccd_device::{presets, IonId, Side, TrapId};
     use qccd_physics::GateImpl;
 
     fn run(
@@ -629,6 +501,56 @@ mod tests {
         let a = simulate(&exe, &d, &PhysicalModel::default()).unwrap();
         let b = simulate(&exe, &d, &PhysicalModel::default()).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Every float of `r`, as bits, so equality is bit-exact.
+    fn float_bits(r: &SimReport) -> Vec<u64> {
+        let t = &r.time;
+        let e = &r.errors;
+        [
+            r.total_time_us,
+            r.log_fidelity,
+            r.peak_motional_energy,
+            r.ms_background_error_sum,
+            r.ms_motional_error_sum,
+            e.one_qubit,
+            e.two_qubit,
+            e.swap,
+            e.measure,
+            t.compute_us,
+            t.communication_us,
+            t.gate_busy_us,
+            t.shuttle_busy_us,
+            t.shuttle_wait_us,
+        ]
+        .iter()
+        .chain(&r.trap_peak_energy)
+        .chain(&r.trap_final_energy)
+        .map(|x| x.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn one_tape_evaluates_like_independent_simulations() {
+        // g2x3 routes through junctions; IS reordering adds ion swaps.
+        let circuit = generators::random_circuit(30, 240, 0.5, 11);
+        for device in [presets::l6(10), presets::g2x3(10)] {
+            for reorder in ReorderMethod::ALL {
+                let config = CompilerConfig::with_reorder(reorder);
+                let exe = compile(&circuit, &device, &config).expect("compiles");
+                let tape = lower(&exe, &device).expect("lowers");
+                if device.junction_count() > 0 {
+                    assert!(tape.counts.junction_crossings > 0);
+                }
+                for gate in GateImpl::ALL {
+                    let model = PhysicalModel::with_gate(gate);
+                    let shared = evaluate(&tape, &model);
+                    let direct = simulate(&exe, &device, &model).expect("simulates");
+                    assert_eq!(shared, direct, "{} {}", device.name(), gate.name());
+                    assert_eq!(float_bits(&shared), float_bits(&direct));
+                }
+            }
+        }
     }
 
     #[test]
@@ -876,7 +798,7 @@ mod tests {
     /// the legs crossing each segment and each junction never overlap.
     fn assert_no_double_booking(exe: &Executable, device: &Device) {
         let model = PhysicalModel::default();
-        let engine = execute(exe, device, &model).expect("simulates");
+        let engine = schedule(&lower(exe, device).expect("lowers"), &model);
         let moves = exe
             .instructions()
             .iter()

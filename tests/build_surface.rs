@@ -121,6 +121,7 @@ fn target_inventory_is_complete() {
         "engine",
         "flat_structures",
         "incremental",
+        "sim",
     ] {
         let needle = format!("benches/{bench}.rs");
         assert!(
