@@ -2,7 +2,8 @@
 //! (QFT-64 on the linear L6 device at capacity 20, gate-swap
 //! reordering): the per-model `simulate` the paper's gate-implementation
 //! sweep would run against lowering once and evaluating the shared tape
-//! under each of the four models, and the compute/communication
+//! under each of the four models, the four evaluations alone on a tape
+//! lowered outside the timed loop, and the compute/communication
 //! finaliser alone on that executable's intervals.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -41,6 +42,14 @@ fn bench_shared_lowering(c: &mut Criterion) {
     });
     group.bench_function("qft64_l6_20/lower", |b| {
         b.iter(|| black_box(lower(&exe, &device).expect("lowers")));
+    });
+    let tape = lower(&exe, &device).expect("lowers");
+    group.bench_function("qft64_l6_20/evaluate_x4", |b| {
+        b.iter(|| {
+            for model in &models {
+                black_box(evaluate(&tape, model));
+            }
+        });
     });
     group.finish();
 }

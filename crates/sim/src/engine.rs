@@ -60,6 +60,10 @@ pub fn evaluate(tape: &SimTape, model: &PhysicalModel) -> SimReport {
 
 /// The gate and shuttle intervals that [`evaluate`] decomposes into
 /// compute and communication time (see [`SpanSet::decompose`]).
+///
+/// Gate intervals are merged per trap as they are recorded, so one
+/// interval may cover a run of back-to-back gates on a trap (see
+/// [`SpanSet::add_or_extend`]). Shuttle intervals are one per op.
 pub fn spans_of(tape: &SimTape, model: &PhysicalModel) -> (SpanSet, SpanSet) {
     let run = schedule(tape, model);
     (run.gate_spans, run.comm_spans)
@@ -125,6 +129,10 @@ fn schedule(tape: &SimTape, model: &PhysicalModel) -> Schedule {
     let mut trap_ready = vec![0.0f64; tape.num_traps];
     let mut path_ready = vec![0.0f64; tape.num_resources];
     let mut flight_energy = vec![0.0f64; tape.num_ions];
+    // Per trap, the index of its last recorded gate interval. A trap
+    // runs its gates one after another, so a gate that starts as the
+    // previous one ends extends that interval instead of adding one.
+    let mut last_gate = vec![usize::MAX; tape.num_traps];
     let mut run = Schedule {
         trap_energy: vec![0.0; tape.num_traps],
         trap_peak: vec![0.0; tape.num_traps],
@@ -177,7 +185,8 @@ fn schedule(tape: &SimTape, model: &PhysicalModel) -> Schedule {
                 trap_ready[trap] = end;
                 charge.apply(&mut run.log_fidelity);
                 *class += err;
-                run.gate_spans.add(start, end);
+                run.gate_spans
+                    .add_or_extend(&mut last_gate[trap], start, end);
                 run.gate_busy += end - start;
                 run.makespan = run.makespan.max(end);
             }
@@ -220,7 +229,8 @@ fn schedule(tape: &SimTape, model: &PhysicalModel) -> Schedule {
                 ion_ready[a] = end;
                 ion_ready[b] = end;
                 trap_ready[trap] = end;
-                run.gate_spans.add(start, end);
+                run.gate_spans
+                    .add_or_extend(&mut last_gate[trap], start, end);
                 run.gate_busy += end - start;
                 run.makespan = run.makespan.max(end);
             }
@@ -554,6 +564,30 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_gates_share_one_interval() {
+        let device = presets::l6(20);
+        let circuit = generators::Benchmark::Qft.build();
+        let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+        let tape = lower(&exe, &device).expect("lowers");
+        let gate_ops = tape
+            .kind
+            .iter()
+            .filter(|k| {
+                matches!(
+                    k,
+                    OpKind::OneQubit | OpKind::Ms | OpKind::SwapGate | OpKind::Measure
+                )
+            })
+            .count();
+        let (gates, _) = spans_of(&tape, &PhysicalModel::default());
+        assert!(
+            2 * gates.len() < gate_ops,
+            "{} gate intervals for {gate_ops} gate ops",
+            gates.len()
+        );
+    }
+
+    #[test]
     fn malformed_split_is_rejected() {
         // Hand-build an executable splitting a mid-chain ion.
         let exe = Executable::new(
@@ -646,6 +680,12 @@ mod tests {
         // 4 chains against the 6-trap L6 device.
         let exe = exe_on(1, vec![vec![IonId(0)], vec![], vec![], vec![]], vec![]);
         assert_rejects(&exe, SimError::UnknownTrap(TrapId(3)));
+    }
+
+    #[test]
+    fn unknown_trap_when_chain_table_is_empty() {
+        let exe = exe_on(0, vec![], vec![]);
+        assert_rejects(&exe, SimError::UnknownTrap(TrapId(0)));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 /// [`key`]), its start and its end in separate arrays: the finaliser
 /// only needs the sorted boundary times of a set, never which start
 /// belongs to which end.
+///
+/// The simulator records its gate set through
+/// [`SpanSet::add_or_extend`], which merges a trap's back-to-back gates
+/// into one interval, and its shuttle set through [`SpanSet::add`], one
+/// interval per op: merging is bit-exact for the gate set only.
 #[derive(Debug, Clone, Default)]
 pub struct SpanSet {
     starts: Vec<u64>,
@@ -51,6 +56,37 @@ impl SpanSet {
             self.starts.push(key(start));
             self.ends.push(key(end));
         }
+    }
+
+    /// Records the interval `[start, end)` after the interval at index
+    /// `*last`: if that one ends exactly at `start` (equal keys, so
+    /// equal bits), it is extended to `end`; otherwise a new interval is
+    /// pushed. Either way `*last` then names the interval ending at
+    /// `end`. Start a chain with `*last = usize::MAX`; zero- or
+    /// negative-length intervals are ignored and leave `*last` as is.
+    ///
+    /// For the `gates` set of [`SpanSet::decompose`] this changes
+    /// neither result bit: merged touching intervals form the same union
+    /// components, and the only boundary removed lies where a gate is
+    /// open on both sides, so no communication-only step changes. It is
+    /// not exact for the `shuttles` set, where the removed boundary
+    /// would turn two float steps of the communication sum into one.
+    pub fn add_or_extend(&mut self, last: &mut usize, start: f64, end: f64) {
+        if end > start {
+            if self.ends.get(*last) == Some(&key(start)) {
+                self.ends[*last] = key(end);
+            } else {
+                *last = self.ends.len();
+                self.starts.push(key(start));
+                self.ends.push(key(end));
+            }
+        }
+    }
+
+    /// Number of recorded intervals.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len()
     }
 
     /// Decomposes time into `(compute_us, communication_us)`: the length
@@ -191,6 +227,23 @@ mod tests {
     }
 
     #[test]
+    fn add_or_extend_merges_only_exact_touches() {
+        let mut s = SpanSet::new();
+        let mut last = usize::MAX;
+        s.add_or_extend(&mut last, -1.0, -0.0);
+        // `0.0` is not bit-equal to `-0.0`: a new interval.
+        s.add_or_extend(&mut last, 0.0, 1.0);
+        s.add_or_extend(&mut last, 1.0, 2.0);
+        // Empty: ignored, the chain still ends at 2.0.
+        s.add_or_extend(&mut last, 2.0, 2.0);
+        s.add_or_extend(&mut last, 2.0, 3.0);
+        s.add_or_extend(&mut last, 4.0, 5.0);
+        assert_eq!(s.len(), 3);
+        assert_eq!(value(s.ends[1]), 3.0);
+        assert_eq!(last, 2);
+    }
+
+    #[test]
     fn keys_order_like_total_cmp_and_round_trip() {
         let xs = [
             f64::NEG_INFINITY,
@@ -298,21 +351,44 @@ mod tests {
             .collect()
     }
 
-    /// Asserts the sweep equals the oracle bit for bit on one pair.
+    /// `intervals` recorded through [`SpanSet::add_or_extend`] in chains
+    /// of touching intervals, each starting bit for bit where the one
+    /// before it ends, so every link of a chain merges.
+    fn merged(intervals: &[(f64, f64)]) -> SpanSet {
+        let mut left = intervals.to_vec();
+        let mut s = SpanSet::new();
+        let mut last = usize::MAX;
+        let mut end: Option<f64> = None;
+        while !left.is_empty() {
+            let next = end
+                .and_then(|e| left.iter().position(|iv| iv.0.to_bits() == e.to_bits()))
+                .unwrap_or(0);
+            let (start, e) = left.remove(next);
+            s.add_or_extend(&mut last, start, e);
+            end = Some(e);
+        }
+        s
+    }
+
+    /// Asserts the sweep equals the oracle bit for bit on one pair, both
+    /// on the gates as given and with their touching intervals merged.
     fn assert_matches_reference(gates: &[(f64, f64)], comm: &[(f64, f64)]) {
-        let (compute, communication) = SpanSet::decompose(spans(gates), spans(comm));
         let want_compute = reference::union_length(gates);
         let want_comm = reference::union_length_excluding(comm, gates);
-        assert_eq!(
-            compute.to_bits(),
-            want_compute.to_bits(),
-            "compute {compute} vs {want_compute} for gates {gates:?}"
-        );
-        assert_eq!(
-            communication.to_bits(),
-            want_comm.to_bits(),
-            "communication {communication} vs {want_comm} for gates {gates:?}, comm {comm:?}"
-        );
+        for (label, gate_set) in [("as given", spans(gates)), ("merged", merged(gates))] {
+            let (compute, communication) = SpanSet::decompose(gate_set, spans(comm));
+            assert_eq!(
+                compute.to_bits(),
+                want_compute.to_bits(),
+                "compute {compute} vs {want_compute} for gates {gates:?} {label}"
+            );
+            assert_eq!(
+                communication.to_bits(),
+                want_comm.to_bits(),
+                "communication {communication} vs {want_comm} for gates {gates:?} {label}, \
+                 comm {comm:?}"
+            );
+        }
     }
 
     #[test]
@@ -342,7 +418,9 @@ mod tests {
 
         /// The merge sweep reproduces the sort-based finaliser exactly,
         /// including on forced ties, touching, zero-length and duplicate
-        /// intervals, and on an empty set on either side.
+        /// intervals, and on an empty set on either side, also after
+        /// touching gate intervals are merged as the simulator records
+        /// them.
         #[test]
         fn sweep_matches_reference_bit_for_bit(
             gate_seed in 0u64..u64::MAX,

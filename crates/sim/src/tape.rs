@@ -191,9 +191,11 @@ pub fn lower(exe: &Executable, device: &Device) -> Result<SimTape, SimError> {
 
 /// Structural validation of the executable against the device.
 fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
-    if exe.initial_chains().len() != device.trap_count() {
+    let chains = exe.initial_chains().len();
+    if chains != device.trap_count() {
+        // The table's last trap, or trap 0 when the table is empty.
         return Err(SimError::UnknownTrap(TrapId(
-            exe.initial_chains().len() as u32 - 1,
+            chains.saturating_sub(1) as u32
         )));
     }
     let n = exe.num_ions();
